@@ -1,7 +1,8 @@
 /// Deposition-mode A/B benchmark: atomic vs deterministic tiled current
-/// deposition (pic/deposit_buffer.hpp) across OMP thread counts and
-/// particle densities, on the quick-demo KHI box (32x64x8, the paper's
-/// reduced setup). The deposition hot loop is the producer's dominant
+/// deposition (pic/deposit_buffer.hpp accumulators; both deposits come
+/// from the test-only reference, tests/reference/deposit.hpp) across OMP
+/// thread counts and particle densities, on the quick-demo KHI box
+/// (32x64x8, the paper's reduced setup). The deposition hot loop is the producer's dominant
 /// cost: atomics serialize under particle-per-cell contention, private
 /// tiles don't — and the tiled path is bit-reproducible on top.
 ///
@@ -23,13 +24,11 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "pic/deposit.hpp"
-#include "pic/deposit_buffer.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference/deposit.hpp"
 
 using namespace artsci;
-using pic::DepositMode;
 
 namespace {
 
@@ -69,18 +68,17 @@ Workload makeWorkload(int particlesPerCell) {
   return w;
 }
 
-double particlesPerSecond(const Workload& w, DepositMode mode, int repeats,
-                          pic::DepositBuffer* scratch) {
+/// Particles/s of `deposit(J)` (one full current deposit of `w`).
+template <class Deposit>
+double particlesPerSecond(const Workload& w, int repeats, Deposit deposit) {
   pic::VectorField J(w.grid);
   // Warm-up (first-touch of J and the tile store).
   J.fill(0.0);
-  pic::depositCurrent(J, w.grid, w.particles, w.oldX, w.oldY, w.oldZ, w.dt,
-                      mode, scratch);
+  deposit(J);
   Timer timer;
   for (int r = 0; r < repeats; ++r) {
     J.fill(0.0);
-    pic::depositCurrent(J, w.grid, w.particles, w.oldX, w.oldY, w.oldZ, w.dt,
-                        mode, scratch);
+    deposit(J);
   }
   return static_cast<double>(w.particles.size()) * repeats / timer.seconds();
 }
@@ -133,14 +131,19 @@ int main(int argc, char** argv) {
   const int gateThreads = haveOmp ? 8 : 1;
   for (int ppc : {9, 36}) {
     const Workload w = makeWorkload(ppc);
-    pic::DepositBuffer scratch(w.grid);
+    pic::reference::TiledCurrentDeposit tiled(w.grid);
     for (int threads : {1, 2, 4, 8}) {
       if (!haveOmp && threads > 1) continue;
       setThreads(threads);
       const double atomicRate =
-          particlesPerSecond(w, DepositMode::Atomic, repeats, nullptr);
+          particlesPerSecond(w, repeats, [&](pic::VectorField& J) {
+            pic::reference::depositCurrentAtomic(J, w.grid, w.particles,
+                                                 w.oldX, w.oldY, w.oldZ, w.dt);
+          });
       const double tiledRate =
-          particlesPerSecond(w, DepositMode::Tiled, repeats, &scratch);
+          particlesPerSecond(w, repeats, [&](pic::VectorField& J) {
+            tiled.deposit(J, w.particles, w.oldX, w.oldY, w.oldZ, w.dt);
+          });
       const double speedup = tiledRate / atomicRate;
       std::printf("%6d %8d %10zu | %14.3e %14.3e | %6.2fx\n", ppc, threads,
                   w.particles.size(), atomicRate, tiledRate, speedup);

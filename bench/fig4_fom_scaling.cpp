@@ -5,10 +5,11 @@
 /// (FOM = 0.9 * particle updates/s + 0.1 * cell updates/s).
 ///
 /// Part A measures the real weak scaling of our PIC substrate across
-/// thread ranks ("GCDs") on this machine, as an A/B of the two rank
-/// particle paths: the legacy split update (gather sweep + re-binning
-/// tiled deposit, the pre-fused DistributedSimulation) vs the fused
-/// single-pass supercell pipeline the rank stepper now runs. Part B maps
+/// thread ranks ("GCDs") on this machine, as an A/B of two rank steppers:
+/// the legacy split rank step (per-particle gather/push/atomic deposit,
+/// mutex migration — the test-only reference
+/// tests/reference/split_rank_simulation.hpp) vs the fused single-pass
+/// supercell pipeline pic::DistributedSimulation runs. Part B maps
 /// the paper-scale curve through the calibrated cluster model (per-GPU
 /// FOM from the paper's own full-system measurement).
 ///
@@ -35,9 +36,9 @@
 #include "common/timer.hpp"
 #include "pic/domain.hpp"
 #include "pic/khi.hpp"
+#include "reference/split_rank_simulation.hpp"
 
 using namespace artsci;
-using pic::ParticlePipeline;
 
 namespace {
 
@@ -51,37 +52,54 @@ pic::KhiConfig weakKhi(std::size_t ranks) {
   return kcfg;
 }
 
-std::unique_ptr<pic::DistributedSimulation> makeDistributed(
-    std::size_t ranks, ParticlePipeline pipeline) {
+pic::DistributedSimulation::Config distributedConfig(std::size_t ranks) {
   const pic::KhiConfig kcfg = weakKhi(ranks);
   pic::DistributedSimulation::Config dc;
   dc.grid = kcfg.grid;
   dc.dt = kcfg.dt;
   dc.ranks = ranks;
-  dc.pipeline = pipeline;
-  auto sim = std::make_unique<pic::DistributedSimulation>(dc);
+  return dc;
+}
 
-  pic::SimulationConfig tmpCfg;
-  tmpCfg.grid = kcfg.grid;
-  tmpCfg.dt = kcfg.dt;
-  pic::Simulation staging(tmpCfg);
-  const auto sp = pic::initializeKhi(staging, kcfg);
-  const auto e = sim->addSpecies(staging.species(sp.electrons).info());
-  const auto i = sim->addSpecies(staging.species(sp.ions).info());
-  sim->staging(e).append(staging.species(sp.electrons));
-  sim->staging(i).append(staging.species(sp.ions));
+/// Single-rank Simulation holding the initial KHI state.
+std::unique_ptr<pic::Simulation> makeKhi(std::size_t ranks) {
+  const pic::KhiConfig kcfg = weakKhi(ranks);
+  pic::SimulationConfig scfg;
+  scfg.grid = kcfg.grid;
+  scfg.dt = kcfg.dt;
+  auto sim = std::make_unique<pic::Simulation>(scfg);
+  pic::initializeKhi(*sim, kcfg);
+  return sim;
+}
+
+std::unique_ptr<pic::DistributedSimulation> makeDistributed(
+    std::size_t ranks) {
+  auto sim =
+      std::make_unique<pic::DistributedSimulation>(distributedConfig(ranks));
+  const auto staging = makeKhi(ranks);
+  for (std::size_t s = 0; s < staging->speciesCount(); ++s) {
+    const auto idx = sim->addSpecies(staging->species(s).info());
+    sim->staging(idx).append(staging->species(s));
+  }
   sim->distribute();
   return sim;
 }
 
+/// The legacy split rank stepper, started from the same KHI state.
+std::unique_ptr<pic::reference::SplitRankSimulation> makeSplit(
+    std::size_t ranks) {
+  return std::make_unique<pic::reference::SplitRankSimulation>(
+      *makeKhi(ranks), distributedConfig(ranks));
+}
+
 /// Best-of-`repeats` FOM (0.9*particle + 0.1*cell updates per second)
 /// over `steps` distributed steps. Fresh simulation per repeat: identical
-/// start state and trajectory across pipelines and repeats.
-double measureFom(std::size_t ranks, ParticlePipeline pipeline, int steps,
-                  int repeats) {
+/// start state and trajectory across steppers and repeats.
+template <class Make>
+double measureFom(Make make, std::size_t ranks, int steps, int repeats) {
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    auto sim = makeDistributed(ranks, pipeline);
+    auto sim = make(ranks);
     sim->run(2);  // warm-up (thread pools, tile stores, caches)
     const double before = sim->fom().particleUpdates;
     const double beforeT = sim->fom().seconds;
@@ -104,23 +122,18 @@ bool sameField(const pic::Field3& x, const pic::Field3& y) {
 /// The rank stepper's contract: fused multi-rank E/B/J bit-identical to
 /// the single-rank fused Simulation on the same trajectory.
 bool fusedBitIdenticalToSingleRank(std::size_t ranks, int steps) {
-  auto dist = makeDistributed(ranks, ParticlePipeline::Fused);
-  const pic::KhiConfig kcfg = weakKhi(ranks);
-  pic::SimulationConfig scfg;
-  scfg.grid = kcfg.grid;
-  scfg.dt = kcfg.dt;
-  pic::Simulation ref(scfg);
-  pic::initializeKhi(ref, kcfg);
+  auto dist = makeDistributed(ranks);
+  auto ref = makeKhi(ranks);
   dist->run(steps);
-  ref.run(steps);
+  ref->run(steps);
   const auto sameVec = [](const pic::VectorField& a,
                           const pic::VectorField& b) {
     return sameField(a.x, b.x) && sameField(a.y, b.y) &&
            sameField(a.z, b.z);
   };
-  return sameVec(dist->fieldE(), ref.fieldE()) &&
-         sameVec(dist->fieldB(), ref.fieldB()) &&
-         sameVec(dist->currentJ(), ref.currentJ());
+  return sameVec(dist->fieldE(), ref->fieldE()) &&
+         sameVec(dist->fieldB(), ref->fieldB()) &&
+         sameVec(dist->currentJ(), ref->currentJ());
 }
 
 }  // namespace
@@ -168,8 +181,8 @@ int main(int argc, char** argv) {
 #ifdef _OPENMP
   const bool haveOmp = true;
 #else
-  // Without OpenMP the split rank path is rejected by the constructor
-  // (its deposit would race); the A/B degenerates to 1 rank.
+  // Without OpenMP the split rank stepper rejects more than one rank (its
+  // deposit would race); the A/B degenerates to 1 rank.
   const bool haveOmp = false;
 #endif
   const std::size_t gateRanks = haveOmp ? 4 : 1;
@@ -193,12 +206,8 @@ int main(int argc, char** argv) {
     std::vector<std::vector<std::string>> rows;
     for (std::size_t ranks : {1u, 2u, 4u, 8u}) {
       if (!haveOmp && ranks > 1) continue;
-      const double fused =
-          measureFom(ranks, ParticlePipeline::Fused, steps, repeats);
-      const double split =
-          (haveOmp || ranks == 1)
-              ? measureFom(ranks, ParticlePipeline::Split, steps, repeats)
-              : 0.0;
+      const double fused = measureFom(makeDistributed, ranks, steps, repeats);
+      const double split = measureFom(makeSplit, ranks, steps, repeats);
       const double ratio = split > 0 ? fused / split : 0.0;
       rows.push_back({std::to_string(ranks), ascii::eng(split, 2) + "Upd/s",
                       ascii::eng(fused, 2) + "Upd/s",

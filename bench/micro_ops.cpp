@@ -25,8 +25,8 @@
 #include "ml/kernels/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/losses.hpp"
-#include "pic/deposit.hpp"
-#include "pic/interpolate.hpp"
+#include "reference/deposit.hpp"
+#include "reference/interpolate.hpp"
 #include "pic/pusher.hpp"
 #include "radiation/detector.hpp"
 
@@ -262,8 +262,8 @@ void BM_EsirkepovDeposit(benchmark::State& state) {
   for (auto _ : state) {
     const double x0 = rng.uniform(2, 14), y0 = rng.uniform(2, 14),
                  z0 = rng.uniform(2, 14);
-    pic::depositCurrentEsirkepov(J, g, x0, y0, z0, x0 + 0.3, y0 - 0.2,
-                                 z0 + 0.1, -1.0, 0.1);
+    pic::reference::depositCurrentEsirkepov(J, g, x0, y0, z0, x0 + 0.3,
+                                            y0 - 0.2, z0 + 0.1, -1.0, 0.1);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -275,8 +275,8 @@ void BM_FieldGather(benchmark::State& state) {
   E.x.fill(1.0);
   Rng rng(7);
   for (auto _ : state) {
-    const Vec3d e = pic::gatherE(E, rng.uniform(1, 31), rng.uniform(1, 31),
-                                 rng.uniform(1, 31));
+    const Vec3d e = pic::reference::gatherE(
+        E, rng.uniform(1, 31), rng.uniform(1, 31), rng.uniform(1, 31));
     benchmark::DoNotOptimize(e);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,9 +1,10 @@
 /// Particle-pipeline A/B benchmark: the legacy split particle update
 /// (scalar wrapped gather + push sweep, re-binning tiled deposit, wrap
-/// sweep) vs the supercell-fused single pass (pic/fused_pipeline.hpp),
-/// on the quick-demo KHI box (32x64x8, 9 ppc, the paper's reduced setup).
-/// The figure of merit is particle updates per second over whole
-/// Simulation::step() calls — the paper's dominant FOM term.
+/// sweep — the test-only reference tests/reference/split_simulation.hpp)
+/// vs the supercell-fused single pass pic::Simulation runs
+/// (pic/fused_pipeline.hpp), on the quick-demo KHI box (32x64x8, 9 ppc,
+/// the paper's reduced setup). The figure of merit is particle updates
+/// per second over whole step() calls — the paper's dominant FOM term.
 ///
 /// Also verifies the A/B contract on the way: after the timed steps the
 /// two pipelines' E/B/J fields must be bit-identical.
@@ -44,30 +45,41 @@
 #include "obs/trace.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference/split_simulation.hpp"
 
 using namespace artsci;
-using pic::ParticlePipeline;
 
 namespace {
 
-std::unique_ptr<pic::Simulation> makeKhi(ParticlePipeline pipeline) {
-  pic::KhiConfig kcfg;  // quick-demo box 32x64x8, 9 ppc
+pic::SimulationConfig khiConfig() {
+  const pic::KhiConfig kcfg;  // quick-demo box 32x64x8, 9 ppc
   pic::SimulationConfig scfg;
   scfg.grid = kcfg.grid;
   scfg.dt = kcfg.dt;
-  scfg.pipeline = pipeline;
-  auto sim = std::make_unique<pic::Simulation>(scfg);
-  pic::initializeKhi(*sim, kcfg);
+  return scfg;
+}
+
+/// The fused pipeline: pic::Simulation on the quick-demo KHI.
+std::unique_ptr<pic::Simulation> makeFused() {
+  auto sim = std::make_unique<pic::Simulation>(khiConfig());
+  pic::initializeKhi(*sim, pic::KhiConfig{});
   return sim;
+}
+
+/// The split baseline, started from the same KHI state.
+std::unique_ptr<pic::reference::SplitSimulation> makeSplit() {
+  return std::make_unique<pic::reference::SplitSimulation>(*makeFused(),
+                                                           khiConfig());
 }
 
 /// Best-of-`repeats` particle updates/s over `steps` full step() calls.
 /// A fresh simulation per repeat keeps the workloads identical (same
 /// start state, same trajectory) across pipelines and repeats.
-double particleUpdateRate(ParticlePipeline pipeline, int steps, int repeats) {
+template <class Make>
+double particleUpdateRate(Make make, int steps, int repeats) {
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    auto sim = makeKhi(pipeline);
+    auto sim = make();
     sim->step();  // warm-up: first-touch of tile stores and caches
     const double updates =
         static_cast<double>(sim->particleCount()) * steps;
@@ -78,7 +90,8 @@ double particleUpdateRate(ParticlePipeline pipeline, int steps, int repeats) {
   return best;
 }
 
-bool fieldsBitIdentical(const pic::Simulation& a, const pic::Simulation& b) {
+bool fieldsBitIdentical(const pic::reference::SplitSimulation& a,
+                        const pic::Simulation& b) {
   const auto same = [](const pic::Field3& x, const pic::Field3& y) {
     return x.raw().size() == y.raw().size() &&
            std::memcmp(x.raw().data(), y.raw().data(),
@@ -188,10 +201,10 @@ int main(int argc, char** argv) {
     auto& rec = obs::TraceRecorder::instance();
     rec.setEnabled(false);
     const double offRate =
-        particleUpdateRate(ParticlePipeline::Fused, steps, repeats);
+        particleUpdateRate(makeFused, steps, repeats);
     rec.setEnabled(true);
     const double onRate =
-        particleUpdateRate(ParticlePipeline::Fused, steps, repeats);
+        particleUpdateRate(makeFused, steps, repeats);
     rec.setEnabled(false);
     const std::size_t spans = rec.eventCount();
     const double ratio = onRate / offRate;
@@ -238,11 +251,11 @@ int main(int argc, char** argv) {
     setThreads(threads);
     fault::Plan::global().disarm();
     const double offRate =
-        particleUpdateRate(ParticlePipeline::Fused, steps, repeats);
+        particleUpdateRate(makeFused, steps, repeats);
     fault::Plan::global().arm(
         fault::Plan::parseSpec("bench.never@1:error"));
     const double onRate =
-        particleUpdateRate(ParticlePipeline::Fused, steps, repeats);
+        particleUpdateRate(makeFused, steps, repeats);
     const auto hits = fault::Plan::global().siteHits();
     fault::Plan::global().disarm();
     const auto it = hits.find("pic.step");
@@ -295,8 +308,8 @@ int main(int argc, char** argv) {
   setThreads(1);
   bool identical;
   {
-    auto split = makeKhi(ParticlePipeline::Split);
-    auto fused = makeKhi(ParticlePipeline::Fused);
+    auto split = makeSplit();
+    auto fused = makeFused();
     split->run(3);
     fused->run(3);
     identical = fieldsBitIdentical(*split, *fused);
@@ -312,9 +325,9 @@ int main(int argc, char** argv) {
     if (!haveOmp && threads > 1) continue;
     setThreads(threads);
     const double splitRate =
-        particleUpdateRate(ParticlePipeline::Split, steps, repeats);
+        particleUpdateRate(makeSplit, steps, repeats);
     const double fusedRate =
-        particleUpdateRate(ParticlePipeline::Fused, steps, repeats);
+        particleUpdateRate(makeFused, steps, repeats);
     const double ratio = fusedRate / splitRate;
     std::printf("%8d | %14.3e %14.3e | %7.2fx\n", threads, splitRate,
                 fusedRate, ratio);

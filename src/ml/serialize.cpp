@@ -3,12 +3,14 @@
 #include <cstdint>
 #include <fstream>
 
-#include "common/log.hpp"
+#include "common/error.hpp"
 
 namespace artsci::ml {
 
 namespace {
-constexpr std::uint64_t kMagicV1 = 0x41525453'43495031ULL;  // "ARTSCIP1"
+/// The unversioned format that preceded ARTSCIP2; recognized only to
+/// reject it by name.
+constexpr std::uint64_t kMagicUnversioned = 0x41525453'43495031ULL;
 constexpr std::uint64_t kMagicV2 = 0x41525453'43495032ULL;  // "ARTSCIP2"
 constexpr std::uint64_t kVersion = 2;
 /// Reject absurd header words before allocating: the in-memory Shape is a
@@ -55,44 +57,29 @@ void loadParameters(const std::string& path, std::vector<Tensor>& params) {
     return v;
   };
   const std::uint64_t magic = readU64("magic");
-  ARTSCI_CHECK_MSG(magic == kMagicV1 || magic == kMagicV2,
+  ARTSCI_CHECK_MSG(magic != kMagicUnversioned,
+                   "'" << path
+                       << "' is an unversioned ARTSCIP1 checkpoint, a format "
+                          "this build no longer reads (it reads ARTSCIP2 "
+                          "version "
+                       << kVersion << ")");
+  ARTSCI_CHECK_MSG(magic == kMagicV2,
                    "'" << path << "' is not an artsci checkpoint");
-  std::uint64_t declaredElements = 0;
-  const bool versioned = (magic == kMagicV2);
-  if (!versioned) {
-    // Legacy files predate config-derived INN permutations
-    // (Inn::Config::permSeed): they were written by builds that drew
-    // permutations from the weight-init RNG, which this build no longer
-    // reproduces. Shapes still match, so the load proceeds — but a model
-    // trained under the old scheme will pair these weights with different
-    // permutations and predict silently different values.
-    log::warn("serialize",
-              "'", path,
-              "' is a legacy (unversioned) checkpoint written before INN "
-              "permutations were derived from the model config; restored "
-              "predictions may not match the original trained network. "
-              "Re-save with saveParameters() to upgrade.");
-  }
-  if (versioned) {
-    const std::uint64_t version = readU64("version");
-    ARTSCI_CHECK_MSG(version == kVersion,
-                     "'" << path << "' has checkpoint version " << version
-                         << ", this build reads version " << kVersion
-                         << " (and the legacy unversioned format)");
-  }
+  const std::uint64_t version = readU64("version");
+  ARTSCI_CHECK_MSG(version == kVersion,
+                   "'" << path << "' has checkpoint version " << version
+                       << ", this build reads version " << kVersion);
   const std::uint64_t count = readU64("tensor count");
   ARTSCI_CHECK_MSG(count == params.size(),
                    "checkpoint '" << path << "' has " << count
                                   << " tensors, expected " << params.size());
-  if (versioned) {
-    declaredElements = readU64("element count");
-    ARTSCI_CHECK_MSG(
-        declaredElements == totalElements(params),
-        "checkpoint '" << path << "' holds " << declaredElements
-                       << " scalars, the target parameter list holds "
-                       << totalElements(params)
-                       << " — model architecture mismatch");
-  }
+  const std::uint64_t declaredElements = readU64("element count");
+  ARTSCI_CHECK_MSG(
+      declaredElements == totalElements(params),
+      "checkpoint '" << path << "' holds " << declaredElements
+                     << " scalars, the target parameter list holds "
+                     << totalElements(params)
+                     << " — model architecture mismatch");
   std::size_t index = 0;
   for (auto& p : params) {
     const std::uint64_t nd = readU64("tensor rank");

@@ -6,12 +6,10 @@
 /// On-disk format (version 2, magic "ARTSCIP2"):
 ///   u64 magic | u64 version | u64 tensorCount | u64 totalElements
 ///   then per tensor: u64 ndim | u64 dims[ndim] | f64 data[numel]
-/// Files written by the original unversioned format (magic "ARTSCIP1",
-/// no version/totalElements words) are still readable, with a logged
-/// warning: they predate config-derived INN permutations, so a legacy
-/// checkpoint of a *trained* INN may not reproduce the original network's
-/// predictions (the permutations it trained under were drawn from the
-/// weight-init RNG and are not recorded in the file).
+/// The original unversioned format (magic "ARTSCIP1", no version /
+/// totalElements words) is rejected with a ContractError that names it:
+/// it predates config-derived INN permutations, so its weights could not
+/// reproduce the network they were trained in anyway.
 #pragma once
 
 #include <string>

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -105,12 +106,15 @@ double Histogram::Snapshot::quantile(double q) const {
   // Rank of the target observation (1-based), then walk the buckets.
   const std::uint64_t rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
+  int b = 0;
+  for (std::uint64_t seen = 0; b < kBuckets - 1; ++b) {
     seen += buckets[static_cast<std::size_t>(b)];
-    if (seen >= rank) return bucketBound(b);
+    if (seen >= rank) break;
   }
-  return bucketBound(kBuckets - 1);
+  // A bucket's upper bound can lie past the largest observation; clamp to
+  // the observed range so no quantile exceeds max (nor, trivially, falls
+  // below min).
+  return std::clamp(bucketBound(b), min, max);
 }
 
 Registry& Registry::global() {

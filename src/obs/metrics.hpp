@@ -111,8 +111,10 @@ class Histogram {
     std::array<std::uint64_t, kBuckets> buckets{};
 
     double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
-    /// Upper bound of the bucket containing the q-quantile (coarse —
-    /// factor-2 resolution — but monotone in q and deterministic).
+    /// Upper bound of the bucket containing the q-quantile, clamped to
+    /// [min, max] so it never reports a value outside the observed range
+    /// (coarse — factor-2 resolution — but monotone in q and
+    /// deterministic).
     double quantile(double q) const;
   };
   Snapshot snapshot() const;

@@ -57,23 +57,49 @@ void TraceRecorder::setCapacity(std::size_t eventsPerThread) {
   capacity_ = eventsPerThread > 0 ? eventsPerThread : 1;
 }
 
+struct TraceRecorder::LocalHandle {
+  ThreadLog* log = nullptr;
+  LocalHandle() = default;
+  LocalHandle(const LocalHandle&) = delete;
+  LocalHandle& operator=(const LocalHandle&) = delete;
+  ~LocalHandle() {
+    if (log != nullptr) TraceRecorder::instance().retire(log);
+  }
+};
+
 TraceRecorder::ThreadLog& TraceRecorder::local() {
-  // One registration per thread lifetime; the shared_ptr keeps the ring
-  // alive in logs_ after the thread exits so post-join flushes see it.
-  thread_local ThreadLog* log = [this] {
+  // One registration per thread lifetime; the shared_ptr keeps a recorded
+  // ring alive in logs_ after the thread exits so post-join flushes see
+  // it. The handle's destructor drops a log that never recorded.
+  thread_local LocalHandle handle;
+  if (handle.log == nullptr) {
     auto fresh = std::make_shared<ThreadLog>();
     std::lock_guard<std::mutex> lock(mutex_);
-    fresh->ring.resize(capacity_);
-    fresh->tid = static_cast<int>(logs_.size());
+    fresh->tid = nextTid_++;
     logs_.push_back(fresh);
-    return fresh.get();
-  }();
-  return *log;
+    handle.log = fresh.get();
+  }
+  return *handle.log;
+}
+
+void TraceRecorder::retire(const ThreadLog* log) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!log->ring.empty()) return;
+  std::erase_if(logs_, [log](const std::shared_ptr<ThreadLog>& l) {
+    return l.get() == log;
+  });
 }
 
 void TraceRecorder::record(const char* category, const char* name,
                            std::uint64_t beginNs, std::uint64_t endNs) {
   ThreadLog& log = local();
+  if (log.ring.empty()) {
+    // First span of this thread. Only the owner writes its ring, so the
+    // unlocked empty() check is race-free; the lock orders the resize
+    // against quiescent readers.
+    std::lock_guard<std::mutex> lock(mutex_);
+    log.ring.resize(capacity_);
+  }
   const std::uint64_t h = log.head.load(std::memory_order_relaxed);
   log.ring[h % log.ring.size()] = Event{category, name, beginNs, endNs};
   log.head.store(h + 1, std::memory_order_release);
@@ -99,6 +125,13 @@ std::size_t TraceRecorder::eventCount() const {
     total += static_cast<std::size_t>(
         h < log->ring.size() ? h : static_cast<std::uint64_t>(log->ring.size()));
   }
+  return total;
+}
+
+std::size_t TraceRecorder::reservedSlots() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t total = 0;
+  for (const auto& log : logs_) total += log->ring.size();
   return total;
 }
 

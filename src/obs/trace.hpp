@@ -21,6 +21,12 @@
 /// -> Chrome "thread", so a 4-rank x 8-thread run renders as four
 /// process groups with nested per-thread span stacks.
 ///
+/// Memory: a thread's ring is allocated on its first recorded span, not
+/// when it names itself, and a thread that exits without recording
+/// leaves nothing behind — so an untraced process that keeps starting
+/// named threads (the trainer's rank team, per streamed step) does not
+/// grow.
+///
 /// Thread safety: recording is wait-free per thread (single-writer ring,
 /// relaxed atomics). `writeJson`/`clear`/`eventCount` walk other threads'
 /// buffers and must run at a quiescent point (instrumented regions
@@ -83,6 +89,8 @@ class TraceRecorder {
 
   /// Total spans currently buffered across all threads (quiescent only).
   std::size_t eventCount() const;
+  /// Ring slots allocated across all threads (quiescent only).
+  std::size_t reservedSlots() const;
   /// Spans overwritten because a ring wrapped (quiescent only).
   std::uint64_t droppedCount() const;
   /// Drop all buffered spans; rings and thread labels survive.
@@ -96,6 +104,7 @@ class TraceRecorder {
 
  private:
   struct ThreadLog {
+    /// Empty until the thread's first record(); sized under mutex_.
     std::vector<Event> ring;
     /// Monotone count of spans ever recorded; slot = head % ring.size().
     /// Written only by the owning thread; release-stored so a quiescent
@@ -106,12 +115,18 @@ class TraceRecorder {
     std::string name;
   };
 
+  /// Thread-exit hook of a thread's log registration.
+  struct LocalHandle;
+
   TraceRecorder() = default;
   ThreadLog& local();
+  /// Drop an exiting thread's log unless it holds a ring.
+  void retire(const ThreadLog* log);
 
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mutex_;  ///< guards logs_ and capacity_
+  mutable std::mutex mutex_;  ///< guards logs_, capacity_, nextTid_, rings
   std::size_t capacity_ = std::size_t{1} << 15;
+  int nextTid_ = 0;
   std::vector<std::shared_ptr<ThreadLog>> logs_;
 };
 

@@ -1,5 +1,6 @@
 #include "stream/sst.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -71,8 +72,11 @@ SstEngine::SstEngine(SstParams params) : params_(params) {
 
 // --- failure machinery ------------------------------------------------------
 
-void SstEngine::failLocked(const std::string& reason) {
-  if (failed_) return;  // first failure wins; later ones add no information
+void SstEngine::failLocked(const std::string& reason, bool readerSide) {
+  // A reader leaving breaks the reader group's lockstep whenever it
+  // happens, so that flag accumulates; the reason is the first failure's.
+  readersFailed_ = readersFailed_ || readerSide;
+  if (failed_) return;
   failed_ = true;
   failReason_ = reason;
 }
@@ -80,7 +84,7 @@ void SstEngine::failLocked(const std::string& reason) {
 void SstEngine::abort(const std::string& reason) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    failLocked(reason);
+    failLocked(reason, /*readerSide=*/false);
   }
   cv_.notify_all();
 }
@@ -102,7 +106,7 @@ void SstEngine::throwIfFailedLocked(const char* where) const {
 }
 
 void SstEngine::waitStepLocked(std::unique_lock<std::mutex>& lock,
-                               const char* what,
+                               const char* what, bool readerSide,
                                const std::function<bool()>& pred) {
   if (params_.stepTimeoutMicros == 0) {
     cv_.wait(lock, pred);
@@ -118,15 +122,17 @@ void SstEngine::waitStepLocked(std::unique_lock<std::mutex>& lock,
   obs::Registry::global().counter("sst.step_timeouts").add();
   const std::string what_s(what);
   failLocked(what_s + " deadline of " +
-             std::to_string(params_.stepTimeoutMicros) + " us expired");
+                 std::to_string(params_.stepTimeoutMicros) + " us expired",
+             readerSide);
   cv_.notify_all();
   throw StreamTimeoutError("nanoSST " + what_s + ": no progress within " +
                            std::to_string(params_.stepTimeoutMicros) +
                            " us step deadline");
 }
 
-void SstEngine::injectSiteFault(const char* site, const char* who,
+void SstEngine::injectSiteFault(const char* site, bool readerSide,
                                 std::size_t rank) {
+  const char* who = readerSide ? "reader" : "writer";
 #if ARTSCI_FAULTS
   if (!fault::Plan::global().armed()) return;
   try {
@@ -134,8 +140,13 @@ void SstEngine::injectSiteFault(const char* site, const char* who,
   } catch (const fault::PeerDeathError& e) {
     // Peer death is a *stream* failure, not a local one: fail the group so
     // every blocked peer wakes, then let the death propagate to the caller.
-    abort(std::string(who) + " rank " + std::to_string(rank) +
-          " died: " + e.what());
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      failLocked(std::string(who) + " rank " + std::to_string(rank) +
+                     " died: " + e.what(),
+                 readerSide);
+    }
+    cv_.notify_all();
     throw;
   }
 #else
@@ -146,6 +157,13 @@ void SstEngine::injectSiteFault(const char* site, const char* who,
 }
 
 void SstEngine::publishLocked(std::size_t ended) {
+  // Canonical block order: by writer rank, whatever order the puts
+  // arrived in (a rank's own blocks keep their put order).
+  for (auto& [name, blocks] : assembling_->variables)
+    std::stable_sort(blocks.begin(), blocks.end(),
+                     [](const Block& a, const Block& b) {
+                       return a.writerRank < b.writerRank;
+                     });
   bytesPublished_ += assembling_->totalBytes();
   obs::Registry::global().counter("stream.bytes_published")
       .add(assembling_->totalBytes());
@@ -195,14 +213,14 @@ void SstEngine::Writer::beginStep() {
   TRACE_SCOPE("stream", "writer_begin_step");
   ARTSCI_CHECK_MSG(!inStep_, "writer rank already in a step");
   ARTSCI_CHECK_MSG(!closed_, "beginStep on closed writer");
-  engine_.injectSiteFault("sst.writer.begin_step", "writer", rank_);
+  engine_.injectSiteFault("sst.writer.begin_step", /*readerSide=*/false, rank_);
   std::unique_lock<std::mutex> lock(engine_.mutex_);
   // A publication is complete only once every straggler of the previous
   // group has left endStep (writersDraining_ reaches 0, see endStep).
   // Opening the next assembling step before that would let a straggler
   // observe next-step state from inside the previous step's endStep —
   // the interleaving behind the step-id race this engine had.
-  engine_.waitStepLocked(lock, "writer beginStep", [this] {
+  engine_.waitStepLocked(lock, "writer beginStep", false, [this] {
     return engine_.failed_ || engine_.writersDraining_ == 0;
   });
   engine_.throwIfFailedLocked("writer beginStep");
@@ -255,7 +273,7 @@ void SstEngine::Writer::setAttribute(const std::string& name,
 void SstEngine::Writer::endStep() {
   TRACE_SCOPE("stream", "writer_end_step");
   ARTSCI_CHECK_MSG(inStep_, "endStep without beginStep");
-  engine_.injectSiteFault("sst.writer.end_step", "writer", rank_);
+  engine_.injectSiteFault("sst.writer.end_step", /*readerSide=*/false, rank_);
   Timer stall;
   std::unique_lock<std::mutex> lock(engine_.mutex_);
   ++engine_.writersEnded_;
@@ -268,7 +286,7 @@ void SstEngine::Writer::endStep() {
   // close()s mid-step, so a departure can complete the step: the waiters
   // are re-woken by close() and the first one through publishes.
   try {
-    engine_.waitStepLocked(lock, "writer endStep", [this] {
+    engine_.waitStepLocked(lock, "writer endStep", false, [this] {
       return engine_.failed_ || engine_.nextStep_ > step_ ||
              (engine_.writersEnded_ == engine_.activeWritersLocked() &&
               engine_.queue_.size() < engine_.params_.queueLimit);
@@ -328,24 +346,23 @@ SstEngine::Reader::Reader(SstEngine& engine, std::size_t rank)
 std::shared_ptr<const StepData> SstEngine::Reader::beginStep() {
   TRACE_SCOPE("stream", "reader_begin_step");
   ARTSCI_CHECK_MSG(!inStep_, "reader rank already in a step");
-  engine_.injectSiteFault("sst.reader.begin_step", "reader", rank_);
+  engine_.injectSiteFault("sst.reader.begin_step", /*readerSide=*/true, rank_);
   std::unique_lock<std::mutex> lock(engine_.mutex_);
-  engine_.waitStepLocked(lock, "reader beginStep", [this] {
-    // Wait for a fresh step, an in-flight group step, end-of-stream, or a
-    // failed stream.
-    if (engine_.failed_) return true;
-    if (engine_.current_ &&
-        engine_.readersBegun_ < engine_.params_.readerRanks)
-      return true;
-    if (!engine_.current_ && !engine_.queue_.empty()) return true;
-    return engine_.closed_ && engine_.queue_.empty() && !engine_.current_;
+  // Wait for a fresh step, an in-flight group step, end-of-stream, or a
+  // failed stream.
+  engine_.waitStepLocked(lock, "reader beginStep", true, [this] {
+    return engine_.failed_ || engine_.readerStepReadyLocked() ||
+           (engine_.closed_ && engine_.queue_.empty() && !engine_.current_);
   });
-  // Fail fast even when steps are still queued: a failed stream's queued
-  // steps precede an incomplete one, and consuming them would hand the
-  // application a silently truncated run instead of a typed error.
-  engine_.throwIfFailedLocked("reader beginStep");
+  // A failed stream still delivers every step published before the
+  // failure; the typed error surfaces at the first step that never
+  // completed — or at once if a reader left, since the group can no
+  // longer move through steps together.
+  if (engine_.readersFailed_ || !engine_.readerStepReadyLocked()) {
+    engine_.throwIfFailedLocked("reader beginStep");
+    return nullptr;  // end-of-stream
+  }
   if (!engine_.current_) {
-    if (engine_.queue_.empty()) return nullptr;  // end-of-stream
     engine_.current_ = engine_.queue_.front();
     engine_.readersBegun_ = 0;
     engine_.readersEnded_ = 0;
@@ -359,10 +376,13 @@ std::shared_ptr<const StepData> SstEngine::Reader::beginStep() {
 void SstEngine::Reader::endStep() {
   TRACE_SCOPE("stream", "reader_end_step");
   ARTSCI_CHECK_MSG(inStep_, "reader endStep without beginStep");
-  engine_.injectSiteFault("sst.reader.end_step", "reader", rank_);
+  engine_.injectSiteFault("sst.reader.end_step", /*readerSide=*/true, rank_);
   std::unique_lock<std::mutex> lock(engine_.mutex_);
   try {
-    engine_.throwIfFailedLocked("reader endStep");
+    // A delivered step is released normally even on a failed stream,
+    // unless a reader left and the group can no longer complete it.
+    if (engine_.readersFailed_)
+      engine_.throwIfFailedLocked("reader endStep");
     ++engine_.readersEnded_;
     if (engine_.readersEnded_ == engine_.params_.readerRanks) {
       // Releasing the step frees the writer-side buffer (queue slot).
@@ -373,10 +393,11 @@ void SstEngine::Reader::endStep() {
       engine_.cv_.notify_all();
     } else {
       const std::shared_ptr<StepData> mine = engine_.current_;
-      engine_.waitStepLocked(lock, "reader endStep", [this, &mine] {
-        return engine_.failed_ || engine_.current_ != mine;
+      engine_.waitStepLocked(lock, "reader endStep", true, [this, &mine] {
+        return engine_.readersFailed_ || engine_.current_ != mine;
       });
-      engine_.throwIfFailedLocked("reader endStep");
+      if (engine_.current_ == mine)
+        engine_.throwIfFailedLocked("reader endStep");
     }
   } catch (...) {
     inStep_ = false;  // as in Writer::endStep: fail typed, not ContractError

@@ -23,9 +23,20 @@
 ///    StreamTimeoutError — a stalled peer can stall the group for at most
 ///    one deadline, never deadlock it;
 ///  * simulated peer death (`FAULT_POINT("sst.writer.end_step")` et al.,
-///    fault/fault.hpp) or an explicit `abort()` fails the stream: every
-///    current and future waiter wakes and throws StreamPeerFailedError
-///    carrying the reason — an incomplete step is aborted, not delivered;
+///    fault/fault.hpp) or an explicit `abort()` fails the stream; every
+///    blocked waiter wakes. What a failed stream still does:
+///      - every writer call (beginStep/put/setAttribute/endStep) throws
+///        StreamPeerFailedError carrying the reason; the step being
+///        assembled is aborted, never published;
+///      - readers still receive, in order, every step whose publication
+///        finished before the failure, and get StreamPeerFailedError from
+///        beginStep at the first step that never completed — so a
+///        consumer trains on all data streamed before the failure and
+///        then learns, typed, that the run was cut short (never a clean
+///        end-of-stream);
+///      - if a *reader* failed (its peer death or deadline expiry), the
+///        reader group can no longer move through steps together: every
+///        reader call throws at once instead;
 ///  * a writer rank that `close()`s leaves the group gracefully: a group
 ///    step in flight publishes once the *remaining* writers have ended
 ///    (the departed rank's puts stay in the step), and readers see
@@ -81,7 +92,9 @@ class StreamPeerFailedError : public StreamError {
   using StreamError::StreamError;
 };
 
-/// One writer rank's contribution to one variable in one step.
+/// One writer rank's contribution to one variable in one step. Within a
+/// published step, each variable's blocks are ordered by writerRank (a
+/// rank's own blocks in put order), whatever order the ranks arrived in.
 struct Block {
   std::size_t writerRank = 0;
   std::vector<long> offset;  ///< within the variable's global extent
@@ -189,11 +202,11 @@ class SstEngine {
   const SstParams& params() const { return params_; }
 
   /// Fail the stream: record `reason`, wake every waiter, and make every
-  /// current and future beginStep/endStep/put on either side throw
-  /// StreamPeerFailedError. Idempotent (the first reason wins). This is
-  /// what simulated peer death and deadline expiry call internally; a
-  /// pipeline supervisor can also call it to tear down a partner stream
-  /// after its sibling failed.
+  /// writer call throw StreamPeerFailedError; readers drain the steps
+  /// already published, then throw (see the fault model above).
+  /// Idempotent (the first reason wins). Simulated peer death and
+  /// deadline expiry fail the stream the same way; a pipeline supervisor
+  /// calls this to tear down a partner stream after its sibling failed.
   void abort(const std::string& reason);
   bool failed() const;
   std::string failReason() const;
@@ -213,20 +226,27 @@ class SstEngine {
   std::size_t activeWritersLocked() const {
     return params_.writerRanks - writersClosed_;
   }
+  /// A step this reader can join: the group's current one (not yet begun
+  /// by every reader) or, with none current, the oldest queued one.
+  bool readerStepReadyLocked() const {
+    return current_ ? readersBegun_ < params_.readerRanks : !queue_.empty();
+  }
   void throwIfFailedLocked(const char* where) const;
   /// cv_ wait honouring params_.stepTimeoutMicros; on expiry fails the
-  /// stream, bumps `sst.step_timeouts`, and throws StreamTimeoutError.
-  /// std::function is fine here: every call site is a blocking wait.
+  /// stream (`readerSide`: the waiter is a reader), bumps
+  /// `sst.step_timeouts`, and throws StreamTimeoutError. std::function is
+  /// fine here: every call site is a blocking wait.
   void waitStepLocked(std::unique_lock<std::mutex>& lock, const char* what,
-                      const std::function<bool()>& pred);
-  void failLocked(const std::string& reason);
+                      bool readerSide, const std::function<bool()>& pred);
+  /// Record a failure; `readerSide` marks the reader group as broken.
+  void failLocked(const std::string& reason, bool readerSide);
   /// Move the assembling step to the queue and open the next group step.
   /// `ended` is the number of ranks that completed the step (the current
   /// active-writer count at publication time).
   void publishLocked(std::size_t ended);
   /// Run a FAULT_POINT, translating injected peer death into a
-  /// whole-stream abort (then rethrows). Called outside mutex_.
-  void injectSiteFault(const char* site, const char* who, std::size_t rank);
+  /// whole-stream failure (then rethrows). Called outside mutex_.
+  void injectSiteFault(const char* site, bool readerSide, std::size_t rank);
 
   SstParams params_;
   mutable std::mutex mutex_;
@@ -234,6 +254,8 @@ class SstEngine {
 
   // Stream-failure state (peer death / timeout / explicit abort).
   bool failed_ = false;
+  /// A reader failed: the reader group's lockstep cannot complete.
+  bool readersFailed_ = false;
   std::string failReason_;
 
   // Step under assembly by the writer group.

@@ -107,6 +107,22 @@ TEST(ObsHistogram, QuantileMonotoneAndCoversRange) {
   EXPECT_LE(s.quantile(0.5), 10.0);
 }
 
+TEST(ObsHistogram, QuantilesStayWithinObservedRange) {
+  // Power-of-two bucket bounds overshoot: 20.3 sits in (16, 32], whose
+  // bound 32 is above every observation. Quantiles clamp to [min, max].
+  Histogram h;
+  for (double v : {3.1, 5.0, 7.5, 12.0, 20.3}) h.observe(v);
+  const auto s = h.snapshot();
+  EXPECT_LE(s.quantile(0.99), s.max);
+  EXPECT_LE(s.quantile(1.0), s.max);
+  EXPECT_EQ(s.quantile(1.0), 20.3);
+  EXPECT_GE(s.quantile(0.0), s.min);
+  for (double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+    EXPECT_GE(s.quantile(q), s.min) << "q=" << q;
+    EXPECT_LE(s.quantile(q), s.max) << "q=" << q;
+  }
+}
+
 TEST(ObsRegistry, LookupIsStableAndSnapshotNameSorted) {
   Registry r;
   Counter& b = r.counter("b.second");
@@ -265,6 +281,44 @@ TEST(ObsTrace, PerThreadRankAttribution) {
     EXPECT_TRUE(contains(json, "worker " + std::to_string(r)));
     EXPECT_TRUE(contains(json, "\"pid\": " + std::to_string(r)));
   }
+  rec.clear();
+}
+
+TEST(ObsTrace, NamedThreadsWithTracingOffReserveNoRing) {
+  // Naming a thread must not allocate its span ring: an untraced
+  // pipeline starts fresh named rank threads for every streamed step,
+  // and a ring per naming (2^15 events, 1 MiB) grew the process without
+  // bound. Rings appear on the first recorded span only.
+  auto& rec = TraceRecorder::instance();
+  rec.setEnabled(false);
+  const std::size_t before = rec.reservedSlots();
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::thread> team;
+    for (int r = 0; r < 4; ++r)
+      team.emplace_back([&rec, r] {
+        rec.setThreadRank(r);
+        rec.setThreadName("idle rank " + std::to_string(r));
+        TRACE_SCOPE("test", "untraced");
+      });
+    for (auto& th : team) th.join();
+  }
+  EXPECT_EQ(rec.reservedSlots(), before);
+
+  // A thread that records still gets its ring, and keeps it after exit
+  // so a post-join flush sees its spans.
+  rec.clear();
+  rec.setEnabled(true);
+  std::thread traced([&rec] {
+    rec.setThreadName("traced");
+    TRACE_SCOPE("test", "traced");
+  });
+  traced.join();
+  rec.setEnabled(false);
+  EXPECT_GT(rec.reservedSlots(), before);
+  EXPECT_EQ(rec.eventCount(), 1u);
+  std::ostringstream os;
+  rec.writeJson(os);
+  EXPECT_TRUE(contains(os.str(), "traced"));
   rec.clear();
 }
 

@@ -68,8 +68,13 @@ void recordCoverage() {
 }
 
 /// Small but real pipeline: ~8 streamed steps, 2 DDP ranks, checkpoints
-/// every 3 steps, and a 2 s step deadline so a killed peer degrades the
-/// run instead of wedging it.
+/// every 3 steps, and a step deadline as the backstop against a wedged
+/// stream. The plans below end their runs through peer failure, which
+/// wakes every waiter at once, so the deadline only has to outlast a
+/// healthy step: 30 s, because under a loaded host (a parallel ctest
+/// whose OpenMP teams oversubscribe the cores) the first producer step
+/// alone has taken over 2 s, expiring the reader's deadline before any
+/// plan could fire.
 core::PipelineConfig chaosPipelineConfig(std::uint64_t seed,
                                          const std::string& ckptDir) {
   auto cfg = core::PipelineConfig::quickDemo();
@@ -79,7 +84,7 @@ core::PipelineConfig chaosPipelineConfig(std::uint64_t seed,
   cfg.nRep = 2;
   cfg.queueLimit = 2;
   cfg.stepReportEvery = 0;
-  cfg.streamStepTimeoutMicros = 2'000'000;
+  cfg.streamStepTimeoutMicros = 30'000'000;
   cfg.checkpointDir = ckptDir;
   cfg.checkpointEvery = 3;
   return cfg;

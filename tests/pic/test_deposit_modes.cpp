@@ -1,8 +1,9 @@
-/// Determinism and A/B agreement tests for the deposition strategies
-/// (pic/deposit_buffer.hpp): the tiled path must be bit-identical across
-/// OMP thread counts and repeated runs, and must agree with the atomic
-/// path to floating-point reassociation tolerance. This is the test the
-/// README's "Determinism guarantees" section points at for deposition.
+/// Determinism and agreement tests for tiled deposition
+/// (pic/deposit_buffer.hpp): the tiled deposits must be bit-identical
+/// across OMP thread counts and repeated runs, and must agree with the
+/// atomic reference scatter (tests/reference/deposit.hpp) to
+/// floating-point reassociation tolerance. This is the test the README's
+/// "Determinism guarantees" section points at for deposition.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -18,9 +19,15 @@
 #include "pic/deposit_buffer.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference/deposit.hpp"
+#include "reference/split_simulation.hpp"
 
 namespace artsci::pic {
 namespace {
+
+using reference::depositChargeAtomic;
+using reference::depositCurrentAtomic;
+using reference::TiledCurrentDeposit;
 
 /// Restores the global OMP thread count on scope exit so one test cannot
 /// perturb the others.
@@ -86,10 +93,9 @@ TEST(DepositModes, TiledMatchesAtomicCurrent) {
   const TestParticles p = makeParticles(g, 5000, 7);
 
   VectorField atomicJ(g), tiledJ(g);
-  depositCurrent(atomicJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Atomic);
-  depositCurrent(tiledJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled);
+  depositCurrentAtomic(atomicJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
+  TiledCurrentDeposit(g).deposit(tiledJ, p.buffer, p.oldX, p.oldY, p.oldZ,
+                                 dt);
 
   EXPECT_LT(maxAbsDiff(atomicJ.x, tiledJ.x), 1e-10);
   EXPECT_LT(maxAbsDiff(atomicJ.y, tiledJ.y), 1e-10);
@@ -111,8 +117,8 @@ TEST(DepositModes, TiledMatchesAtomicCharge) {
   }
 
   Field3 atomicRho(g.nx, g.ny, g.nz), tiledRho(g.nx, g.ny, g.nz);
-  depositCharge(atomicRho, g, p.buffer, DepositMode::Atomic);
-  depositCharge(tiledRho, g, p.buffer, DepositMode::Tiled);
+  depositChargeAtomic(atomicRho, g, p.buffer);
+  depositCharge(tiledRho, g, p.buffer);
   EXPECT_LT(maxAbsDiff(atomicRho, tiledRho), 1e-10);
   EXPECT_GT(tiledRho.sumSquares(), 0.0);
 }
@@ -134,11 +140,10 @@ TEST(DepositModes, TiledBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     guard.set(threads);
     VectorField J(g);
-    depositCurrent(J, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                   DepositMode::Tiled);
+    TiledCurrentDeposit(g).deposit(J, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
     js.push_back(std::move(J));
     Field3 rho(g.nx, g.ny, g.nz);
-    depositCharge(rho, g, wrapped.buffer, DepositMode::Tiled);
+    depositCharge(rho, g, wrapped.buffer);
     rhos.push_back(std::move(rho));
   }
   EXPECT_TRUE(bitIdentical(js[0], js[1])) << "J: 1 vs 2 threads differ";
@@ -151,15 +156,13 @@ TEST(DepositModes, TiledBitIdenticalAcrossRepeatedRuns) {
   const GridSpec g{12, 12, 6, 0.25, 0.25, 0.25};
   const double dt = 0.05;
   const TestParticles p = makeParticles(g, 4000, 31);
-  DepositBuffer scratch(g);
+  TiledCurrentDeposit scratch(g);
 
   VectorField first(g);
-  depositCurrent(first, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled, &scratch);
+  scratch.deposit(first, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
   for (int run = 0; run < 3; ++run) {
     VectorField again(g);
-    depositCurrent(again, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                   DepositMode::Tiled, &scratch);
+    scratch.deposit(again, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
     EXPECT_TRUE(bitIdentical(first, again)) << "run " << run;
   }
 }
@@ -189,11 +192,10 @@ TEST(DepositModes, TiledContinuityEquation) {
   }
 
   Field3 rho0(g.nx, g.ny, g.nz), rho1(g.nx, g.ny, g.nz);
-  depositCharge(rho0, g, before, DepositMode::Tiled);
-  depositCharge(rho1, g, after, DepositMode::Tiled);
+  depositCharge(rho0, g, before);
+  depositCharge(rho1, g, after);
   VectorField J(g);
-  depositCurrent(J, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled);
+  TiledCurrentDeposit(g).deposit(J, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
 
   double maxViolation = 0.0;
   for (long i = 0; i < g.nx; ++i)
@@ -217,10 +219,9 @@ TEST(DepositModes, SmallGridWrapOverlapAgrees) {
   const TestParticles p = makeParticles(g, 1500, 53);
 
   VectorField atomicJ(g), tiledJ(g);
-  depositCurrent(atomicJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Atomic);
-  depositCurrent(tiledJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled);
+  depositCurrentAtomic(atomicJ, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt);
+  TiledCurrentDeposit(g).deposit(tiledJ, p.buffer, p.oldX, p.oldY, p.oldZ,
+                                 dt);
   EXPECT_LT(maxAbsDiff(atomicJ.x, tiledJ.x), 1e-10);
   EXPECT_LT(maxAbsDiff(atomicJ.y, tiledJ.y), 1e-10);
   EXPECT_LT(maxAbsDiff(atomicJ.z, tiledJ.z), 1e-10);
@@ -228,12 +229,12 @@ TEST(DepositModes, SmallGridWrapOverlapAgrees) {
   ThreadCountGuard guard;
   guard.set(8);
   VectorField tiled8(g);
-  depositCurrent(tiled8, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled);
+  TiledCurrentDeposit(g).deposit(tiled8, p.buffer, p.oldX, p.oldY, p.oldZ,
+                                 dt);
   guard.set(1);
   VectorField tiled1(g);
-  depositCurrent(tiled1, g, p.buffer, p.oldX, p.oldY, p.oldZ, dt,
-                 DepositMode::Tiled);
+  TiledCurrentDeposit(g).deposit(tiled1, p.buffer, p.oldX, p.oldY, p.oldZ,
+                                 dt);
   EXPECT_TRUE(bitIdentical(tiled1, tiled8));
 }
 
@@ -247,7 +248,7 @@ TEST(DepositModes, OutOfDomainPositionThrows) {
     Vec3d pos{2.0, 2.0, 2.0};
     (axis == 0 ? pos.x : axis == 1 ? pos.y : pos.z) = -0.5;  // not wrapped
     p.push(pos, {}, 1.0);
-    EXPECT_THROW(depositCharge(rho, g, p, DepositMode::Tiled), ContractError)
+    EXPECT_THROW(depositCharge(rho, g, p), ContractError)
         << "axis " << axis;
   }
 }
@@ -263,39 +264,46 @@ TEST(DepositModes, ScratchCellSizeMismatchThrows) {
   ParticleBuffer p({-1.0, 1.0, "e"});
   p.push({2.0, 2.0, 2.0}, {}, 1.0);
   Field3 rho(g.nx, g.ny, g.nz);
-  EXPECT_THROW(depositCharge(rho, g, p, DepositMode::Tiled, &scratch),
-               ContractError);
+  EXPECT_THROW(depositCharge(rho, g, p, &scratch), ContractError);
 }
 
 TEST(DepositModes, SimulationStepBitIdenticalAcrossThreadCounts) {
   // With tiled deposition the *whole* PIC step is thread-count invariant:
   // gather/push/move are per-particle, the FDTD update writes disjoint
   // cells, and deposition is the only cross-thread reduction.
-  auto runKhi = [](int threads, DepositMode mode) {
-    ThreadCountGuard guard;
-    guard.set(threads);
-    KhiConfig kcfg;
-    kcfg.grid = GridSpec{16, 16, 4, 0.2, 0.2, 0.2};
-    kcfg.particlesPerCell = 4;
-    SimulationConfig cfg;
-    cfg.grid = kcfg.grid;
-    cfg.dt = kcfg.dt;
-    cfg.depositMode = mode;
+  KhiConfig kcfg;
+  kcfg.grid = GridSpec{16, 16, 4, 0.2, 0.2, 0.2};
+  kcfg.particlesPerCell = 4;
+  SimulationConfig cfg;
+  cfg.grid = kcfg.grid;
+  cfg.dt = kcfg.dt;
+  const auto makeKhi = [&] {
     auto sim = std::make_unique<Simulation>(cfg);
     initializeKhi(*sim, kcfg);
+    return sim;
+  };
+  const auto runKhi = [&](int threads) {
+    ThreadCountGuard guard;
+    guard.set(threads);
+    auto sim = makeKhi();
     sim->run(3);
     return sim;
   };
 
-  const auto a = runKhi(1, DepositMode::Tiled);
-  const auto b = runKhi(4, DepositMode::Tiled);
+  const auto a = runKhi(1);
+  const auto b = runKhi(4);
   EXPECT_TRUE(bitIdentical(a->fieldE(), b->fieldE()));
   EXPECT_TRUE(bitIdentical(a->fieldB(), b->fieldB()));
   EXPECT_TRUE(bitIdentical(a->currentJ(), b->currentJ()));
 
-  // A/B: the atomic path still runs and lands close to the tiled result.
-  const auto c = runKhi(4, DepositMode::Atomic);
-  EXPECT_LT(maxAbsDiff(a->currentJ().x, c->currentJ().x), 1e-8);
+  // The split step with the atomic scatter lands close to the tiled
+  // result.
+  ThreadCountGuard guard;
+  guard.set(4);
+  reference::SplitSimulation c(*makeKhi(), cfg,
+                               reference::SplitDeposit::Atomic);
+  c.run(3);
+  EXPECT_LT(maxAbsDiff(a->currentJ().x, c.currentJ().x), 1e-8);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// Contract tests of the supercell-fused particle pipeline
 /// (pic/fused_pipeline.hpp):
-///  * bit-identity to the legacy split path — fields AND particle state,
-///    over multiple steps (both paths share the once-per-step supercell
-///    sort, so even the particle order matches);
+///  * bit-identity to the split reference step
+///    (tests/reference/split_simulation.hpp) — fields AND particle state,
+///    over multiple steps (both share the once-per-step supercell sort,
+///    so even the particle order matches);
 ///  * bit-identity to itself across OMP thread counts and repeated runs;
 ///  * bitwise equivalence of the support-clipped tile scatter kernel to
 ///    the reference Esirkepov kernel;
@@ -24,6 +25,8 @@
 #include "pic/fused_pipeline.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference/deposit.hpp"
+#include "reference/split_simulation.hpp"
 
 namespace artsci::pic {
 namespace {
@@ -65,26 +68,35 @@ bool particlesBitIdentical(const ParticleBuffer& a, const ParticleBuffer& b) {
          sameDoubles(a.w, b.w);
 }
 
-std::unique_ptr<Simulation> makeKhiSim(ParticlePipeline pipeline,
-                                       bool recordBetaDot = false) {
-  KhiConfig kcfg;
-  kcfg.grid = GridSpec{16, 32, 4, 0.2, 0.2, 0.2};
-  kcfg.particlesPerCell = 4;
+using reference::SplitSimulation;
+
+SimulationConfig khiSimConfig(bool recordBetaDot) {
   SimulationConfig cfg;
-  cfg.grid = kcfg.grid;
-  cfg.dt = kcfg.dt;
-  cfg.pipeline = pipeline;
+  cfg.grid = GridSpec{16, 32, 4, 0.2, 0.2, 0.2};
+  cfg.dt = KhiConfig{}.dt;
   cfg.recordBetaDot = recordBetaDot;
+  return cfg;
+}
+
+std::unique_ptr<Simulation> makeKhiSim(bool recordBetaDot = false) {
+  const SimulationConfig cfg = khiSimConfig(recordBetaDot);
+  KhiConfig kcfg;
+  kcfg.grid = cfg.grid;
+  kcfg.particlesPerCell = 4;
   auto sim = std::make_unique<Simulation>(cfg);
   initializeKhi(*sim, kcfg);
   return sim;
 }
 
+/// The split reference started from the same KHI state as makeKhiSim.
+std::unique_ptr<SplitSimulation> makeKhiSplit(bool recordBetaDot = false) {
+  return std::make_unique<SplitSimulation>(*makeKhiSim(recordBetaDot),
+                                           khiSimConfig(recordBetaDot));
+}
+
 TEST(FusedPipeline, MatchesSplitBitwiseOverSteps) {
-  auto split = makeKhiSim(ParticlePipeline::Split);
-  auto fused = makeKhiSim(ParticlePipeline::Fused);
-  ASSERT_EQ(split->particlePipeline(), ParticlePipeline::Split);
-  ASSERT_EQ(fused->particlePipeline(), ParticlePipeline::Fused);
+  auto split = makeKhiSplit();
+  auto fused = makeKhiSim();
   for (int s = 0; s < 5; ++s) {
     split->step();
     fused->step();
@@ -102,8 +114,8 @@ TEST(FusedPipeline, MatchesSplitBitwiseOverSteps) {
 }
 
 TEST(FusedPipeline, BetaDotMatchesSplitBitwise) {
-  auto split = makeKhiSim(ParticlePipeline::Split, /*recordBetaDot=*/true);
-  auto fused = makeKhiSim(ParticlePipeline::Fused, /*recordBetaDot=*/true);
+  auto split = makeKhiSplit(/*recordBetaDot=*/true);
+  auto fused = makeKhiSim(/*recordBetaDot=*/true);
   split->run(2);
   fused->run(2);
   for (std::size_t sp = 0; sp < split->speciesCount(); ++sp) {
@@ -123,7 +135,7 @@ TEST(FusedPipeline, BitIdenticalAcrossThreadCounts) {
   std::vector<std::unique_ptr<Simulation>> runs;
   for (int threads : {1, 2, 8}) {
     guard.set(threads);
-    auto sim = makeKhiSim(ParticlePipeline::Fused);
+    auto sim = makeKhiSim();
     sim->run(3);
     runs.push_back(std::move(sim));
   }
@@ -138,10 +150,10 @@ TEST(FusedPipeline, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(FusedPipeline, BitIdenticalAcrossRepeatedRuns) {
-  auto first = makeKhiSim(ParticlePipeline::Fused);
+  auto first = makeKhiSim();
   first->run(3);
   for (int run = 0; run < 2; ++run) {
-    auto again = makeKhiSim(ParticlePipeline::Fused);
+    auto again = makeKhiSim();
     again->run(3);
     EXPECT_TRUE(bitIdentical(first->fieldE(), again->fieldE()));
     EXPECT_TRUE(bitIdentical(first->fieldB(), again->fieldB()));
@@ -199,8 +211,8 @@ TEST(FusedPipeline, TileScatterKernelMatchesReferenceBitwise) {
         break;
     }
     const double qw = rng.uniform(-2.0, 2.0);
-    detail::scatterEsirkepov(g, x0, y0, z0, x0 + dx, y0 + dy, z0 + dz, qw, dt,
-                             ref);
+    reference::scatterEsirkepov(g, x0, y0, z0, x0 + dx, y0 + dy, z0 + dz, qw,
+                                dt, ref);
     DepositBuffer::scatterEsirkepovTile(g, x0, y0, z0, x0 + dx, y0 + dy,
                                         z0 + dz, qw, dt, fast);
   }
@@ -220,15 +232,11 @@ TEST(FusedPipeline, NearLightSpeedParticleWrapsOnTinyGrid) {
   SimulationConfig cfg;
   cfg.grid = GridSpec{4, 4, 4, 0.2, 0.2, 0.2};
   cfg.dt = 0.1;  // CFL 0.87
-  cfg.pipeline = ParticlePipeline::Fused;
   Simulation fused(cfg);
-  cfg.pipeline = ParticlePipeline::Split;
-  Simulation split(cfg);
-  for (Simulation* sim : {&fused, &split}) {
-    const auto s = sim->addSpecies({-1.0, 1.0, "e"});
-    sim->species(s).push({0.5, 1.5, 2.5}, {300.0, 200.0, 100.0}, 1.0);
-    sim->species(s).push({3.9, 0.1, 3.9}, {-250.0, 150.0, -50.0}, 1.0);
-  }
+  const auto s = fused.addSpecies({-1.0, 1.0, "e"});
+  fused.species(s).push({0.5, 1.5, 2.5}, {300.0, 200.0, 100.0}, 1.0);
+  fused.species(s).push({3.9, 0.1, 3.9}, {-250.0, 150.0, -50.0}, 1.0);
+  SplitSimulation split(fused, cfg);
   for (int step = 0; step < 100; ++step) {
     fused.step();
     split.step();
@@ -269,20 +277,6 @@ TEST(FusedPipeline, OutOfDomainPositionThrows) {
   const auto s = sim.addSpecies({-1.0, 1.0, "e"});
   sim.species(s).push({-0.5, 4.0, 4.0}, {}, 1.0);  // not wrapped
   EXPECT_THROW(sim.step(), ContractError);
-}
-
-TEST(FusedPipeline, AtomicModeFallsBackToSplit) {
-  SimulationConfig cfg;
-  cfg.grid = GridSpec{8, 8, 8, 0.3, 0.3, 0.3};
-  cfg.dt = 0.1;
-  cfg.depositMode = DepositMode::Atomic;
-  cfg.pipeline = ParticlePipeline::Fused;  // requires Tiled -> ignored
-  Simulation sim(cfg);
-  EXPECT_EQ(sim.particlePipeline(), ParticlePipeline::Split);
-  const auto s = sim.addSpecies({-1.0, 1.0, "e"});
-  sim.species(s).push({4.0, 4.0, 4.0}, {0.1, 0.0, 0.0}, 1.0);
-  sim.run(3);  // must still run the legacy path fine
-  EXPECT_EQ(sim.stepIndex(), 3);
 }
 
 }  // namespace

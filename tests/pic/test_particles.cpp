@@ -123,9 +123,10 @@ TEST(SupercellSort, PermutationReflectsAppliedSort) {
 }
 
 TEST(SupercellSort, BinAloneStaysStableByIndex) {
-  // bin() (the split deposit path's re-binning) must remain stable by
-  // input index: the split path relies on it to *preserve* the canonical
-  // pre-push order rather than re-sort by post-push state.
+  // bin() (depositCharge's binning, and the re-binning of the split
+  // reference deposit) must remain stable by input index: the split
+  // reference relies on it to *preserve* the canonical pre-push order
+  // rather than re-sort by post-push state.
   const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
   ParticleBuffer p = randomParticles(g, 500, 7);
   SupercellIndex idx(g, 8, 8, g.nz);

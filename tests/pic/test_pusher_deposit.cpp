@@ -4,11 +4,16 @@
 
 #include "common/units.hpp"
 #include "pic/deposit.hpp"
-#include "pic/interpolate.hpp"
 #include "pic/pusher.hpp"
+#include "reference/deposit.hpp"
+#include "reference/interpolate.hpp"
 
 namespace artsci::pic {
 namespace {
+
+using reference::depositCurrentEsirkepov;
+using reference::gatherB;
+using reference::gatherE;
 
 TEST(Boris, PureMagneticFieldPreservesEnergy) {
   // |u| is exactly conserved in a pure B field (rotation only).

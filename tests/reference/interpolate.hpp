@@ -1,24 +1,25 @@
 /// \file interpolate.hpp
-/// CIC (cloud-in-cell, linear) field gather honouring the Yee staggering.
-/// Positions are in cell units.
+/// Reference CIC (cloud-in-cell, linear) field gather honouring the Yee
+/// staggering, one wrapped node read at a time. Positions are in cell
+/// units. The fused pipeline's staged tile-cache gather
+/// (pic/fused_pipeline.cpp) replicates this arithmetic and is pinned to
+/// it bitwise through the split reference step.
 #pragma once
+
+#include <cmath>
 
 #include "common/vec3.hpp"
 #include "pic/grid.hpp"
 
-namespace artsci::pic {
+namespace artsci::pic::reference {
 
-/// Trilinear interpolation of a staggered sample read through an
-/// arbitrary accessor `at(i, j, k)` (global node indices, possibly
-/// outside [0, n) — the accessor resolves them, e.g. by periodic wrap or
-/// by translating into a halo-padded tile cache). Every gather entry
-/// point shares this body, so the direct and cached (fused-pipeline)
-/// paths accumulate in the exact same floating-point order and stay
-/// bit-identical. Sample positions are (i + sx, j + sy, k + sz) with
-/// s* in {0, 0.5} encoding the Yee staggering.
-template <class At>
-inline double gatherStaggeredAt(At&& at, double px, double py, double pz,
-                                double sx, double sy, double sz) {
+/// Trilinear interpolation of a scalar field sampled at grid positions
+/// (i + sx, j + sy, k + sz), where s* in {0, 0.5} encode the staggering.
+/// Periodic wrapping happens per node read (Field3::at). Corner terms add
+/// in (a,b,c)-ascending order; the fused gather keeps that order, which
+/// is what makes the two bit-identical.
+inline double gatherStaggered(const Field3& f, double px, double py,
+                              double pz, double sx, double sy, double sz) {
   const double gx = px - sx;
   const double gy = py - sy;
   const double gz = pz - sz;
@@ -35,21 +36,11 @@ inline double gatherStaggeredAt(At&& at, double px, double py, double pz,
       const double wyp = b ? fy : 1.0 - fy;
       for (int c = 0; c < 2; ++c) {
         const double wzp = c ? fz : 1.0 - fz;
-        acc += wxp * wyp * wzp * at(i0 + a, j0 + b, k0 + c);
+        acc += wxp * wyp * wzp * f.at(i0 + a, j0 + b, k0 + c);
       }
     }
   }
   return acc;
-}
-
-/// Trilinear interpolation of a scalar field sampled at grid positions
-/// (i + sx, j + sy, k + sz), where s* in {0, 0.5} encode the staggering.
-/// Periodic wrapping happens per node read (Field3::at).
-inline double gatherStaggered(const Field3& f, double px, double py,
-                              double pz, double sx, double sy, double sz) {
-  return gatherStaggeredAt(
-      [&f](long i, long j, long k) { return f.at(i, j, k); }, px, py, pz, sx,
-      sy, sz);
 }
 
 /// Gather E at a particle position (Yee staggering of E components).
@@ -66,4 +57,4 @@ inline Vec3d gatherB(const VectorField& B, double px, double py, double pz) {
           gatherStaggered(B.z, px, py, pz, 0.5, 0.5, 0.0)};
 }
 
-}  // namespace artsci::pic
+}  // namespace artsci::pic::reference

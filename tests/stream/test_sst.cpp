@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "common/thread_pool.hpp"
@@ -20,6 +21,42 @@ Block makeBlock(std::vector<double> payload, std::vector<long> offset,
   b.extent = std::move(extent);
   return b;
 }
+
+/// A peer thread of a stream test that joins on every path. An exception
+/// escaping the body is carried to join(), where it fails the test. If
+/// the test body exits early (a failed ASSERT, an exception), the
+/// destructor first aborts the engine, so a peer blocked on the stream
+/// wakes, and then joins — a failure stays a test failure instead of
+/// std::terminate on a joinable thread.
+class PeerThread {
+ public:
+  template <class Fn>
+  PeerThread(SstEngine& engine, Fn fn)
+      : engine_(engine), thread_([this, fn = std::move(fn)]() mutable {
+          try {
+            fn();
+          } catch (...) {
+            error_ = std::current_exception();
+          }
+        }) {}
+  PeerThread(const PeerThread&) = delete;
+  PeerThread& operator=(const PeerThread&) = delete;
+  ~PeerThread() {
+    if (!thread_.joinable()) return;
+    engine_.abort("test body exited early");
+    thread_.join();
+  }
+
+  void join() {
+    thread_.join();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  SstEngine& engine_;
+  std::exception_ptr error_;
+  std::thread thread_;  ///< last: starts once the members above exist
+};
 
 TEST(StepDataTest, Assemble1D) {
   StepData step;
@@ -56,7 +93,7 @@ TEST(Sst, SingleWriterSingleReaderRoundTrip) {
   auto writer = engine.makeWriter(0);
   auto reader = engine.makeReader(0);
 
-  std::thread producer([&] {
+  PeerThread producer(engine, [&] {
     for (long s = 0; s < 3; ++s) {
       writer.beginStep();
       writer.put("data", makeBlock({double(s), double(s + 1)}, {0}, {2}),
@@ -86,7 +123,7 @@ TEST(Sst, MultiWriterBlocksGathered) {
   SstEngine engine(SstParams{kWriters, 1, 2});
   auto reader = engine.makeReader(0);
 
-  std::thread consumer([&] {
+  PeerThread consumer(engine, [&] {
     auto step = reader.beginStep();
     ASSERT_NE(step, nullptr);
     EXPECT_EQ(step->variables.at("x").size(), kWriters);
@@ -115,7 +152,7 @@ TEST(Sst, BackPressureStallsWriter) {
   auto writer = engine.makeWriter(0);
   auto reader = engine.makeReader(0);
 
-  std::thread producer([&] {
+  PeerThread producer(engine, [&] {
     for (long s = 0; s < 4; ++s) {
       writer.beginStep();
       writer.put("v", makeBlock(std::vector<double>(1024, 1.0), {0}, {1024}),
@@ -141,7 +178,7 @@ TEST(Sst, MultiReaderGroupSeesSameSteps) {
   constexpr std::size_t kReaders = 3;
   SstEngine engine(SstParams{1, kReaders, 2});
 
-  std::thread producer([&] {
+  PeerThread producer(engine, [&] {
     auto writer = engine.makeWriter(0);
     for (long s = 0; s < 5; ++s) {
       writer.beginStep();
@@ -168,7 +205,7 @@ TEST(Sst, LocalityAwareBlockAssignment) {
   constexpr std::size_t kWriters = 4, kReaders = 2;
   SstEngine engine(SstParams{kWriters, kReaders, 2});
 
-  std::thread producerGroup([&] {
+  PeerThread producerGroup(engine, [&] {
     runRankTeam(kWriters, [&](std::size_t rank) {
       auto writer = engine.makeWriter(rank);
       writer.beginStep();
@@ -193,6 +230,38 @@ TEST(Sst, LocalityAwareBlockAssignment) {
   // writer ranks 0,2 -> reader 0; 1,3 -> reader 1; disjoint and complete.
   EXPECT_EQ(assigned[0], (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(assigned[1], (std::vector<std::size_t>{1, 3}));
+}
+
+TEST(Sst, BlocksPublishInWriterRankOrder) {
+  // Canonical block order: whatever order the writer ranks put in (forced
+  // here to be descending), a published step lists each variable's
+  // blocks by writer rank.
+  constexpr std::size_t kWriters = 4;
+  SstEngine engine(SstParams{kWriters, 1, 2});
+  std::atomic<long> turn{static_cast<long>(kWriters) - 1};
+  PeerThread producerGroup(engine, [&] {
+    runRankTeam(kWriters, [&](std::size_t rank) {
+      auto writer = engine.makeWriter(rank);
+      writer.beginStep();
+      while (turn.load() != static_cast<long>(rank) && !engine.failed())
+        std::this_thread::yield();
+      writer.put("v",
+                 makeBlock({double(rank)}, {static_cast<long>(rank)}, {1}),
+                 {static_cast<long>(kWriters)});
+      turn.store(static_cast<long>(rank) - 1);
+      writer.endStep();
+      writer.close();
+    });
+  });
+  auto reader = engine.makeReader(0);
+  auto step = reader.beginStep();
+  ASSERT_NE(step, nullptr);
+  std::vector<std::size_t> order;
+  for (const Block& b : step->variables.at("v")) order.push_back(b.writerRank);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  reader.endStep();
+  EXPECT_EQ(reader.beginStep(), nullptr);
+  producerGroup.join();
 }
 
 TEST(Sst, ExtentMismatchRejected) {
@@ -229,7 +298,7 @@ TEST(Sst, LateEndStepKeepsCapturedStepId) {
   constexpr long kSteps = 40;
   SstEngine engine(SstParams{kWriters, 1, /*queueLimit=*/1});
 
-  std::thread producerGroup([&] {
+  PeerThread producerGroup(engine, [&] {
     runRankTeam(kWriters, [&](std::size_t rank) {
       auto writer = engine.makeWriter(rank);
       for (long s = 0; s < kSteps; ++s) {
@@ -342,7 +411,7 @@ TEST(Sst, StaggeredWriterClosuresNeverStrandPeers) {
   const long stepsOf[kWriters] = {5, 8, 11};
   SstEngine engine(SstParams{kWriters, 1, /*queueLimit=*/1});
 
-  std::thread producerGroup([&] {
+  PeerThread producerGroup(engine, [&] {
     runRankTeam(kWriters, [&](std::size_t rank) {
       auto writer = engine.makeWriter(rank);
       for (long s = 0; s < stepsOf[rank]; ++s) {
@@ -392,23 +461,92 @@ TEST(Sst, StepTimeoutThrowsTypedErrorAndFailsStream) {
   EXPECT_TRUE(engine.failed());
   EXPECT_FALSE(engine.failReason().empty());
 
-  // The failure is stream-wide: the reader fails fast instead of being
-  // handed the stale queued step, and further writer calls fail too.
-  auto reader = engine.makeReader(0);
-  EXPECT_THROW(reader.beginStep(), StreamPeerFailedError);
+  // The failure is stream-wide: further writer calls fail, and the
+  // reader still gets step 0 (published before the failure), then the
+  // typed error at the step that never completed.
   EXPECT_THROW(writer.beginStep(), StreamPeerFailedError);
+  auto reader = engine.makeReader(0);
+  auto step0 = reader.beginStep();
+  ASSERT_NE(step0, nullptr);
+  EXPECT_EQ(step0->step, 0);
+  EXPECT_EQ(step0->assemble("v"), std::vector<double>{1.0});
+  reader.endStep();
+  EXPECT_THROW(reader.beginStep(), StreamPeerFailedError);
+}
+
+TEST(Sst, FailedStreamDeliversEveryPublishedStepThenThrows) {
+  // Three steps publish, the fourth dies mid-assembly. Both readers of
+  // the group receive steps 0..2 in order with their payloads, then the
+  // typed error — never a clean end-of-stream, never a lost step.
+  constexpr std::size_t kReaders = 2;
+  SstEngine engine(SstParams{1, kReaders, /*queueLimit=*/4});
+  auto writer = engine.makeWriter(0);
+  for (long s = 0; s < 3; ++s) {
+    writer.beginStep();
+    writer.put("v", makeBlock({double(s)}, {0}, {1}), {1});
+    writer.endStep();
+  }
+  writer.beginStep();
+  writer.put("v", makeBlock({3.0}, {0}, {1}), {1});
+  engine.abort("writer lost mid-step");
+  EXPECT_THROW(writer.endStep(), StreamPeerFailedError);
+
+  std::vector<std::vector<double>> seen(kReaders);
+  std::vector<int> typedErrors(kReaders, 0);
+  runRankTeam(kReaders, [&](std::size_t rank) {
+    auto reader = engine.makeReader(rank);
+    try {
+      while (auto step = reader.beginStep()) {
+        seen[rank].push_back(step->assemble("v")[0]);
+        reader.endStep();
+      }
+    } catch (const StreamPeerFailedError& e) {
+      if (std::string(e.what()).find("writer lost mid-step") !=
+          std::string::npos)
+        ++typedErrors[rank];
+    }
+  });
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(seen[r], (std::vector<double>{0.0, 1.0, 2.0})) << "reader " << r;
+    EXPECT_EQ(typedErrors[r], 1) << "reader " << r;
+  }
+}
+
+TEST(Sst, ReaderDeathBreaksTheReaderGroupAtOnce) {
+  // A reader that dies leaves a lockstep group that can never complete a
+  // step again: its peers fail immediately, even with steps still queued.
+  SstEngine engine(SstParams{1, 2, /*queueLimit=*/4});
+  auto writer = engine.makeWriter(0);
+  for (long s = 0; s < 2; ++s) {
+    writer.beginStep();
+    writer.put("v", makeBlock({double(s)}, {0}, {1}), {1});
+    writer.endStep();
+  }
+  writer.close();
+  auto r0 = engine.makeReader(0);
+  auto r1 = engine.makeReader(1);
+  ASSERT_NE(r0.beginStep(), nullptr);
+  {
+    fault::ScopedPlan plan(
+        fault::Plan::parseSpec("sst.reader.begin_step@1:die"));
+    EXPECT_THROW(r1.beginStep(), fault::PeerDeathError);
+  }
+  EXPECT_THROW(r0.endStep(), StreamPeerFailedError);  // would wait on r1
+  EXPECT_THROW(r0.beginStep(), StreamPeerFailedError);
 }
 
 TEST(Sst, InjectedPeerDeathAbortsTheWholeGroup) {
   // Seeded fault plan: the writer's 2nd endStep dies. The writer sees
-  // PeerDeathError; the reader — blocked waiting for step 1 — must wake
-  // with StreamPeerFailedError carrying the death notice, never hang.
+  // PeerDeathError; the reader still gets step 0 (published before the
+  // death), and then — blocked waiting for step 1 or arriving after the
+  // death — must get StreamPeerFailedError carrying the death notice,
+  // never hang.
   fault::ScopedPlan plan(
       fault::Plan::parseSpec("sst.writer.end_step@2:die"));
   SstEngine engine(SstParams{1, 1, /*queueLimit=*/2});
 
   std::atomic<bool> writerDied{false};
-  std::thread producer([&] {
+  PeerThread producer(engine, [&] {
     auto writer = engine.makeWriter(0);
     try {
       for (long s = 0; s < 3; ++s) {
@@ -449,7 +587,7 @@ TEST(Sst, AbortWakesBlockedWriter) {
   writer.endStep();  // fills the queue
 
   std::atomic<bool> unblocked{false};
-  std::thread stuck([&] {
+  PeerThread stuck(engine, [&] {
     try {
       writer.beginStep();
       writer.put("v", makeBlock({2.0}, {0}, {1}), {1});
